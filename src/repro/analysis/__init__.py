@@ -14,10 +14,10 @@ Two instruments, one subsystem:
   simulation's own shared resources (IKC rings, memcg accounting,
   runqueues, the run cache), fed by tracer-style ambient hooks;
 * the **crash-consistency analyzer**
-  (:mod:`repro.analysis.crashsafe`, CC001–CC009 on the per-function
+  (:mod:`repro.analysis.crashsafe`, CC001–CC008 on the per-function
   CFG layer in :mod:`repro.analysis.cfg`) — durability-idiom
   dataflow, chaos-catalogue coherence, crash-absorption and
-  resource-release checks, journal-fold coverage.
+  resource-release checks.
 
 CLI: ``repro analyze lint [paths...]``, ``repro analyze crash
 [paths...]``, ``repro analyze rules`` and ``repro analyze race

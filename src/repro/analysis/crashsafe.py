@@ -36,10 +36,6 @@ per-function CFG/dataflow layer in :mod:`repro.analysis.cfg`:
 ``CC008``
     ``os.open`` descriptors and heartbeat threads are released on
     every path out of the function, exceptional exits included.
-``CC009``
-    every journal record ``type`` emitted anywhere has a fold handler
-    in the queue fold (``table``), the fleet aggregator (``rollups``),
-    and fsck keeps replaying through ``queue.table()``.
 
 CLI: ``repro analyze crash [paths...]`` — canonical-JSON report with
 ``--json``, shared suppression-baseline mechanism
@@ -77,7 +73,6 @@ __all__ = [
     "default_catalogue",
     "discover_docs",
     "docs_catalogue_findings",
-    "journal_fold_findings",
     "run_crash",
 ]
 
@@ -138,14 +133,6 @@ CC_RULES: tuple[LintRule, ...] = (
         "os.open descriptor or worker thread not released on every path",
         "close the fd / join the thread in a 'finally' so exceptional "
         "exits release it too",
-    ),
-    LintRule(
-        "CC009",
-        "journal record type emitted without a fold handler",
-        "handle the type in JobQueue.table and "
-        "FleetAggregator.rollups (and keep fsck replaying via "
-        "queue.table()); an unhandled record silently drops out of "
-        "every folded view",
     ),
 )
 
@@ -231,41 +218,12 @@ class ChaosUsage:
         return (self.site, f"{self.path}::{self.scope}")
 
 
-@dataclass(frozen=True)
-class JournalEmit:
-    """One ``journal.append({'type': <literal>, ...})`` call site."""
-
-    rtype: str
-    literal: bool
-    path: str
-    scope: str
-    line: int
-    col: int
-    snippet: str
-
-
-@dataclass(frozen=True)
-class FoldDef:
-    """One fold function over the journal record stream."""
-
-    kind: str  # "queue" (def table) | "fleet" (def rollups)
-    handled: frozenset[str]
-    path: str
-    scope: str
-    line: int
-    snippet: str
-
-
 @dataclass
 class ScanData:
     """Everything one pass over a tree collects."""
 
     findings: list[Finding] = field(default_factory=list)
     usages: list[ChaosUsage] = field(default_factory=list)
-    emits: list[JournalEmit] = field(default_factory=list)
-    folds: list[FoldDef] = field(default_factory=list)
-    #: (canonical path, replays-via-queue.table) per fsck module seen.
-    fsck_modules: list[tuple[str, bool]] = field(default_factory=list)
     files_checked: int = 0
 
 
@@ -285,9 +243,6 @@ class _FileScan:
             path.startswith(p) or p == "" for p in durability_prefixes)
         self.findings: list[Finding] = []
         self.usages: list[ChaosUsage] = []
-        self.emits: list[JournalEmit] = []
-        self.folds: list[FoldDef] = []
-        self.table_call = False
         self._aliases: dict[str, str] = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -348,12 +303,6 @@ class _FileScan:
             self._scan_function_collections(func, scope)
         for func, scope in self._functions(self.tree):
             self._scan_function_rules(func, scope)
-        if self.path.endswith("fsck.py"):
-            self.table_call = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "table"
-                for node in ast.walk(self.tree))
 
     def _functions(self, tree: ast.Module
                    ) -> "list[tuple[ast.AST, str]]":
@@ -416,7 +365,7 @@ class _FileScan:
                             names.add(target.id)
         return names
 
-    # -- collection pass (usages, emits, folds) ------------------------
+    # -- collection pass (chaos usages) --------------------------------
 
     def _scan_function_collections(self, func: ast.AST,
                                    scope: str) -> None:
@@ -445,47 +394,6 @@ class _FileScan:
                     scope=scope, line=call.lineno, col=call.col_offset,
                     snippet=self._snippet(call)))
                 self._direct_chaos[getattr(func, "name", "")] = True
-            if isinstance(fn, ast.Attribute) and fn.attr == "append":
-                recv = self._raw(fn.value)
-                if recv.split(".")[-1] == "journal" and call.args:
-                    self._collect_emit(call, scope)
-
-        if func.name in ("table", "rollups"):
-            self._collect_fold(func, scope)
-
-    def _collect_emit(self, call: ast.Call, scope: str) -> None:
-        record = call.args[0]
-        if not isinstance(record, ast.Dict):
-            return
-        for key, value in zip(record.keys, record.values):
-            if isinstance(key, ast.Constant) and key.value == "type":
-                literal = (isinstance(value, ast.Constant)
-                           and isinstance(value.value, str))
-                self.emits.append(JournalEmit(
-                    rtype=value.value if literal else "<non-literal>",
-                    literal=literal, path=self.path, scope=scope,
-                    line=call.lineno, col=call.col_offset,
-                    snippet=self._snippet(call)))
-
-    def _collect_fold(self, func: ast.AST, scope: str) -> None:
-        handled: set[str] = set()
-        for stmt in self._own_statements(func):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Compare):
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.Constant) and \
-                                isinstance(sub.value, str):
-                            handled.add(sub.value)
-                elif isinstance(node, ast.Dict) and \
-                        func.name == "rollups":
-                    for key in node.keys:
-                        if isinstance(key, ast.Constant) and \
-                                isinstance(key.value, str):
-                            handled.add(key.value)
-        self.folds.append(FoldDef(
-            kind="queue" if func.name == "table" else "fleet",
-            handled=frozenset(handled), path=self.path, scope=scope,
-            line=func.lineno, snippet=self._snippet(func)))
 
     # -- rule pass (CC001/CC002/CC007/CC008) ---------------------------
 
@@ -897,57 +805,6 @@ def docs_catalogue_findings(docs_path: "str | pathlib.Path",
     return findings
 
 
-def journal_fold_findings(emits: Sequence[JournalEmit],
-                          folds: Sequence[FoldDef],
-                          fsck_modules: Sequence[tuple[str, bool]]
-                          ) -> "list[Finding]":
-    """CC009: every emitted record type folds everywhere."""
-    findings: list[Finding] = []
-    by_type: dict[str, JournalEmit] = {}
-    for emit in emits:
-        if not emit.literal:
-            findings.append(Finding(
-                rule_id="CC009", path=emit.path, line=emit.line,
-                col=emit.col, scope=emit.scope, snippet=emit.snippet,
-                message="journal record 'type' must be a string "
-                        "literal so fold coverage is statically "
-                        "checkable"))
-        else:
-            by_type.setdefault(emit.rtype, emit)
-    if not by_type:
-        return findings
-
-    for kind, label in (("queue", "queue fold (def table)"),
-                        ("fleet", "fleet fold (def rollups)")):
-        kind_folds = [f for f in folds if f.kind == kind]
-        if not kind_folds:
-            emit = by_type[sorted(by_type)[0]]
-            findings.append(Finding(
-                rule_id="CC009", path=emit.path, line=emit.line,
-                col=emit.col, scope=emit.scope, snippet=emit.snippet,
-                message=f"journal records are emitted but no {label} "
-                        "exists in the scanned tree"))
-            continue
-        for fold in kind_folds:
-            for rtype in sorted(set(by_type) - fold.handled):
-                emit = by_type[rtype]
-                findings.append(Finding(
-                    rule_id="CC009", path=fold.path, line=fold.line,
-                    col=0, scope=fold.scope, snippet=fold.snippet,
-                    message=f"record type {rtype!r} (emitted at "
-                            f"{emit.path}:{emit.line}) has no handler "
-                            f"in the {label}"))
-    for path, replays in fsck_modules:
-        if not replays:
-            findings.append(Finding(
-                rule_id="CC009", path=path, line=1, col=0,
-                scope="<module>", snippet="",
-                message="fsck no longer replays the journal through "
-                        "queue.table() — repairs would fold records "
-                        "with their own, divergent logic"))
-    return findings
-
-
 # -- driver ------------------------------------------------------------
 
 
@@ -968,10 +825,6 @@ def collect_scan(paths: Sequence["str | pathlib.Path"],
         data.files_checked += 1
         data.findings.extend(scan.findings)
         data.usages.extend(scan.usages)
-        data.emits.extend(scan.emits)
-        data.folds.extend(scan.folds)
-        if scan.path.endswith("fsck.py"):
-            data.fsck_modules.append((scan.path, scan.table_call))
     return data
 
 
@@ -1005,8 +858,6 @@ def crash_findings(paths: Sequence["str | pathlib.Path"],
     data = collect_scan(paths, durability_prefixes=durability_prefixes)
     findings = list(data.findings)
     findings += chaos_coherence_findings(data.usages, cat)
-    findings += journal_fold_findings(data.emits, data.folds,
-                                      data.fsck_modules)
     if docs_path is None:
         docs_path = discover_docs(paths)
     if docs_path is not None:

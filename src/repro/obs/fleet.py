@@ -2,8 +2,9 @@
 
 A worker fleet leaves two kinds of evidence behind: the journal (the
 queue's source of truth) and one telemetry spool per worker
-(:mod:`repro.obs.spool`).  This module folds both into fleet-level
-views, split deliberately into two tiers:
+(:mod:`repro.obs.spool`).  This module reads the queue's own journal
+fold (:meth:`~repro.service.queue.JobQueue.fold`) and the spools into
+fleet-level views, split deliberately into two tiers:
 
 * **The deterministic core** (:meth:`FleetAggregator.report`): per-job
   canonical lifecycle spans on logical clocks, artifact digests, and
@@ -117,8 +118,9 @@ class FleetAggregator:
                 records, problems = read_spool(path)
                 self.spools[path.name[:-len(".jsonl")]] = {
                     "records": records, "problems": problems}
-        self._records = queue.journal.records()
-        self._table = queue.table()
+        #: The queue's own fold: the job table and the record tallies
+        #: the rollups read.
+        self._fold = queue.fold()
 
     @classmethod
     def from_service_dir(cls, directory: "str | os.PathLike | None" = None
@@ -141,8 +143,9 @@ class FleetAggregator:
         by_state: dict[str, int] = {}
         total_files = 0
         total_bytes = 0
-        for job_id in sorted(self._table):
-            view = self._table[job_id]
+        table = self._fold.jobs
+        for job_id in sorted(table):
+            view = table[job_id]
             state = view.state.value
             by_state[state] = by_state.get(state, 0) + 1
             artifacts = self._artifacts(job_id, state)
@@ -233,27 +236,10 @@ class FleetAggregator:
     def rollups(self) -> dict:
         """Operational truth of this particular run — never
         byte-compared across runs or worker counts."""
-        counts = {"submit": 0, "claim": 0, "run": 0, "retry": 0,
-                  "done": 0, "fail": 0}
-        lease_breaks = 0
-        claimable: set = set()
-        depth_max = 0
-        for record in self._records:
-            rtype = record.get("type")
-            job = record.get("job")
-            if rtype in counts:
-                counts[rtype] += 1
-            if rtype in ("retry", "fail") and \
-                    str(record.get("error", "")).startswith("lease expired"):
-                lease_breaks += 1
-            if rtype in ("submit", "retry"):
-                claimable.add(job)
-            elif rtype in ("claim", "done", "fail"):
-                claimable.discard(job)
-            depth_max = max(depth_max, len(claimable))
-        claims = counts["claim"]
-        goodput = counts["done"] / claims if claims else 1.0
-        retry_rate = counts["retry"] / claims if claims else 0.0
+        fold = self._fold
+        claims = fold.claims
+        goodput = fold.dones / claims if claims else 1.0
+        retry_rate = fold.retries / claims if claims else 0.0
         workers = {}
         for worker in sorted(self.spools):
             spool = self.spools[worker]
@@ -272,14 +258,14 @@ class FleetAggregator:
             }
         return {
             "claims": claims,
-            "dones": counts["done"],
-            "fails": counts["fail"],
+            "dones": fold.dones,
+            "fails": fold.fails,
             "goodput": goodput,
-            "lease_breaks": lease_breaks,
-            "max_queue_depth": depth_max,
-            "retries": counts["retry"],
+            "lease_breaks": fold.lease_breaks,
+            "max_queue_depth": fold.max_depth,
+            "retries": fold.retries,
             "retry_rate": retry_rate,
-            "submits": counts["submit"],
+            "submits": fold.submits,
             "telemetry": {
                 "corrupt_lines": sum(w["corrupt_lines"]
                                      for w in workers.values()),
@@ -352,8 +338,9 @@ class FleetAggregator:
             f"retries={r['retries']} lease_breaks={r['lease_breaks']}")
         lines.append(f"{'job':<20} {'state':<9} {'kind':<11} "
                      f"{'attempts':<9} worker")
-        for job_id in sorted(self._table):
-            view = self._table[job_id]
+        table = self._fold.jobs
+        for job_id in sorted(table):
+            view = table[job_id]
             live = ""
             claim = claims.get(job_id)
             if claim:
@@ -362,7 +349,7 @@ class FleetAggregator:
             lines.append(f"{view.job_id:<20} {view.state.value:<9} "
                          f"{view.kind:<11} {view.attempts:<9} "
                          f"{view.worker}{live}")
-        if not self._table:
+        if not table:
             lines.append("(no jobs)")
         lines.append(f"telemetry: {r['telemetry']['spools']} spool(s), "
                      f"{r['telemetry']['torn_tails']} torn tail(s), "

@@ -1,12 +1,10 @@
 """Labeled metrics: counters, gauges and histograms.
 
-A :class:`MetricsRegistry` is the successor of
-:class:`repro.perf.counters.PerfCounters` (which is now a deprecated
-alias): it keeps the legacy flat-counter / wall-time-timer API that the
-executor and the ``--stats`` flag rely on, and adds **labeled series**
-(``registry.counter("runs", kernel="mckernel").inc()``) plus gauges and
-fixed-bucket histograms, so one registry can answer the questions the
-gem5 standardization paper argues simulators must emit as
+A :class:`MetricsRegistry` keeps the flat-counter / wall-time-timer API
+that the executor and the ``--stats`` flag rely on, and adds **labeled
+series** (``registry.counter("runs", kernel="mckernel").inc()``) plus
+gauges and fixed-bucket histograms, so one registry can answer the
+questions the gem5 standardization paper argues simulators must emit as
 machine-readable artifacts — per-kernel, per-node, per-experiment
 breakdowns rather than one global number.
 
@@ -113,11 +111,9 @@ class Histogram:
 class MetricsRegistry:
     """Registry of labeled counters/gauges/histograms.
 
-    Also implements the full legacy ``PerfCounters`` surface —
-    :meth:`add`, :meth:`timer`, :attr:`counts`, :attr:`timings`,
-    :meth:`hit_rate`, :meth:`report`, :meth:`snapshot` — so every
-    pre-existing call site and test keeps working against the
-    superseding type.
+    Also keeps the flat view ``--stats`` prints: :meth:`timer`,
+    :attr:`counts`, :attr:`timings`, :meth:`hit_rate`, :meth:`report`,
+    :meth:`snapshot`.
     """
 
     def __init__(self) -> None:
@@ -151,11 +147,7 @@ class MetricsRegistry:
             h = self._histograms[key] = Histogram(key, buckets)
         return h
 
-    # -- legacy PerfCounters API --------------------------------------
-
-    def add(self, name: str, n: int = 1) -> None:
-        """Increment the (unlabeled) event counter ``name`` by ``n``."""
-        self.counter(name).inc(n)
+    # -- flat counters and timers (``--stats``) ------------------------
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:

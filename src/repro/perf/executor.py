@@ -206,7 +206,7 @@ def execute_cells(
     if max_retries is None:
         max_retries = ctx.max_retries
     counters = get_metrics()
-    counters.add("executor.cells", len(cells))
+    counters.counter("executor.cells").inc(len(cells))
 
     results: list[Optional["RunResult"]] = [None] * len(cells)
     pending: list[int] = []
@@ -219,10 +219,10 @@ def execute_cells(
                 hit = cache.get(keys[i])
                 if hit is not None:
                     results[i] = hit
-                    counters.add("cache.hits")
+                    counters.counter("cache.hits").inc()
                 else:
                     pending.append(i)
-                    counters.add("cache.misses")
+                    counters.counter("cache.misses").inc()
     else:
         pending = list(range(len(cells)))
 
@@ -259,7 +259,7 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
               timeout: Optional[float] = None,
               max_retries: int = 2) -> list["RunResult"]:
     if jobs <= 1 or len(cells) <= 1:
-        counters.add("executor.serial_cells", len(cells))
+        counters.counter("executor.serial_cells").inc(len(cells))
         return _run_serial(cells)
 
     results: dict[int, "RunResult"] = {}
@@ -285,8 +285,8 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
                 ctx.mark_pool_broken()
             failures += 1
             if failures == 1:
-                counters.add("executor.pool_failures")
-            counters.add("executor.cell_retries")
+                counters.counter("executor.pool_failures").inc()
+            counters.counter("executor.cell_retries").inc()
             failed_cell = batch[failure.failed_index]
             # Soak logs must attribute failures to a specific retry
             # attempt, not just the cell key.
@@ -307,7 +307,7 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
                 ctx.mark_pool_broken()
             failures += 1
             if failures == 1:
-                counters.add("executor.pool_failures")
+                counters.counter("executor.pool_failures").inc()
             logger.warning(
                 "worker pool failed before any cell could be "
                 "attributed (%s: %s); retrying %d cells "
@@ -324,11 +324,11 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
         logger.warning(
             "worker pool unusable after %d attempts; running %d "
             "remaining cells serially", failures, len(pending))
-        counters.add("executor.serial_cells", len(pending))
+        counters.counter("executor.serial_cells").inc(len(pending))
         serial = _run_serial([cells[i] for i in pending])
         for pos, result in zip(pending, serial):
             results[pos] = result
     else:
-        counters.add("executor.parallel_cells", len(cells))
+        counters.counter("executor.parallel_cells").inc(len(cells))
 
     return [results[i] for i in range(len(cells))]

@@ -129,14 +129,14 @@ class ServiceFsck:
                         "telemetry_spools": 0}
         self._check_journal_tail()
         try:
-            table = self.queue.table()
+            fold = self.queue.fold()
         except JournalCorruptionError as exc:
             self._found("journal-corrupt", str(exc),
                         path=self._rel(self.queue.journal.path))
             return self._report(root)
-        self.checked["journal_records"] = len(self.queue.journal)
-        self._check_artifacts(table)
-        self._check_results(table)
+        self.checked["journal_records"] = fold.records
+        self._check_artifacts(fold.jobs)
+        self._check_results(fold.jobs)
         # Re-fold between phases: each repair group may have appended
         # records (a 'done' for an unpublished result, a 'retry' for a
         # quarantined claim), and the next phase must judge the claims

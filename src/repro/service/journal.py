@@ -165,6 +165,3 @@ class Journal:
                     f"{type(record).__name__}, expected object")
             out.append(record)
         return out
-
-    def __len__(self) -> int:
-        return len(self.records())

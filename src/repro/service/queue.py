@@ -9,8 +9,9 @@ State lives under one service directory (``$REPRO_SERVICE_DIR`` or
     results/<id>/     published artifacts (atomic directory rename)
     cache/            shared disk tier of the content-addressed RunCache
 
-The job table is a pure fold over the journal (:meth:`JobQueue.table`)
-— there is no secondary index to corrupt.  States follow the PR-3
+The job table is a pure fold over the journal (:meth:`JobQueue.fold`,
+the only code that turns records into state) — there is no secondary
+index to corrupt.  States follow the PR-3
 :class:`~repro.runtime.batchsched.BatchScheduler` model extended with
 the claim handshake::
 
@@ -112,6 +113,26 @@ class JobView:
         }
 
 
+@dataclass
+class JournalFold:
+    """One pass over the journal (:meth:`JobQueue.fold`): the job table
+    and the per-type record counts behind the fleet rollups."""
+
+    #: job id -> folded :class:`JobView`, in submission order.
+    jobs: dict[str, JobView]
+    #: Records read, including any without a job id.
+    records: int = 0
+    submits: int = 0
+    claims: int = 0
+    retries: int = 0
+    dones: int = 0
+    fails: int = 0
+    #: ``retry``/``fail`` records written by a broken lease.
+    lease_breaks: int = 0
+    #: High-water count of jobs in a :data:`CLAIMABLE` state.
+    max_depth: int = 0
+
+
 class JobQueue:
     """The persistent queue: submissions, claims, transitions,
     results — everything under one service directory."""
@@ -157,8 +178,7 @@ class JobQueue:
         job id.  The artifact (``jobs/<id>.json``) is written first
         with ``O_EXCL`` — the id is never announced before the bytes
         it names are durable."""
-        seq = sum(1 for r in self.journal.records()
-                  if r.get("type") == "submit")
+        seq = self.fold().submits
         while True:
             job_id = job_id_for(seq, jobspec)
             path = self.jobs_dir / f"{job_id}.json"
@@ -197,11 +217,17 @@ class JobQueue:
 
     # -- the folded table ---------------------------------------------
 
-    def table(self) -> dict[str, JobView]:
-        """Fold the journal into the current job table (job id ->
-        :class:`JobView`), in submission order."""
+    def fold(self) -> JournalFold:
+        """Fold the journal into the job table plus the record tallies
+        the fleet rollups and fsck report — the one place journal
+        records become state.  The fold runs on every claim, so each
+        tally is kept inside its record type's branch rather than in a
+        second per-record step."""
+        records = self.journal.records()
         views: dict[str, JobView] = {}
-        for record in self.journal.records():
+        submits = claims = retries = dones = fails = 0
+        lease_breaks = depth = max_depth = 0
+        for record in records:
             rtype = record.get("type")
             job_id = record.get("job")
             if not isinstance(job_id, str) or not job_id:
@@ -209,26 +235,58 @@ class JobQueue:
             view = views.get(job_id)
             if view is None:
                 view = views[job_id] = JobView(job_id=job_id)
+                depth += 1  # a new view starts QUEUED
             worker = str(record.get("worker", ""))
             if rtype == "submit":
+                submits += 1
                 view.kind = str(record.get("kind", ""))
+                if depth > max_depth:
+                    max_depth = depth
             elif rtype == "claim":
+                claims += 1
+                if view.state in CLAIMABLE:
+                    depth -= 1
                 view.state = JobState.CLAIMED
                 view.worker = worker
                 view.attempts = int(record.get("attempt", 0)) + 1
             elif rtype == "run":
+                if view.state in CLAIMABLE:
+                    depth -= 1
                 view.state = JobState.RUNNING
                 view.worker = worker
             elif rtype == "retry":
+                retries += 1
+                if view.state not in CLAIMABLE:
+                    depth += 1
+                if depth > max_depth:
+                    max_depth = depth
                 view.state = JobState.RETRYING
                 view.error = str(record.get("error", ""))
+                if view.error.startswith("lease expired"):
+                    lease_breaks += 1
             elif rtype == "done":
+                dones += 1
+                if view.state in CLAIMABLE:
+                    depth -= 1
                 view.state = JobState.DONE
                 view.error = ""
             elif rtype == "fail":
+                fails += 1
+                if view.state in CLAIMABLE:
+                    depth -= 1
                 view.state = JobState.FAILED
                 view.error = str(record.get("error", ""))
-        return views
+                if view.error.startswith("lease expired"):
+                    lease_breaks += 1
+        return JournalFold(jobs=views, records=len(records),
+                           submits=submits, claims=claims,
+                           retries=retries, dones=dones, fails=fails,
+                           lease_breaks=lease_breaks, max_depth=max_depth)
+
+    def table(self) -> dict[str, JobView]:
+        """The current job table (job id -> :class:`JobView`), in
+        submission order."""
+        return self.fold().jobs
 
     def job(self, job_id: str) -> JobView:
         view = self.table().get(job_id)

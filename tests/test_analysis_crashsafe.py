@@ -170,7 +170,6 @@ _FIXTURE_KW = {
     "CC005": {},
     "CC007": {},
     "CC008": {},
-    "CC009": {},
 }
 
 

@@ -66,7 +66,7 @@ def test_journal_append_and_records_round_trip(tmp_path):
         {"type": "submit", "job": "j0"},
         {"type": "claim", "job": "j0", "worker": "w1"},
     ]
-    assert len(journal) == 2
+    assert len(journal.records()) == 2
 
 
 def test_journal_lines_are_canonical_json(tmp_path):
@@ -293,6 +293,69 @@ def test_queue_emits_service_trace_events(queue):
     events = [e for e in tracer.events if e.layer == "service"]
     assert [e.name for e in events] == ["submit", "claim", "done"]
     assert all(e.args["job"] == job_id for e in events)
+
+
+def test_fold_tallies_every_transition_the_queue_writes(tmp_path):
+    """Drive every transition the queue can journal; the one fold
+    (JobQueue.fold) must count each record type the journal holds, leave
+    each job in the state its last record names, and feed the fleet
+    rollups.  A new record type without a fold branch fails here."""
+    from collections import Counter
+
+    from repro.obs.fleet import FleetAggregator
+
+    queue = JobQueue(tmp_path / "svc", durable=False,
+                     retry=RetryPolicy(max_retries=1, backoff_base=0.0))
+    def submit_and_claim(n, claim=True):
+        ids = [queue.submit(JobSpec.for_experiment("eq1", seed=s))
+               for s in range(n)]
+        for job_id in ids if claim else ():
+            assert queue.claim_next("w1")[0] == job_id
+        return ids
+
+    # Never more than two jobs queued at once until the retries below.
+    a, b = submit_and_claim(2)
+    c, d = submit_and_claim(2)
+    (e,) = submit_and_claim(1, claim=False)
+    for job_id in (a, b, d):
+        queue.mark_running(job_id, "w1", 0)
+    queue.complete(a, "w1", 0)                       # done
+    queue.fail_attempt(b, "w1", 0, "boom")           # retry
+    assert queue.break_lease(c, breaker="w2")        # retry, lease expired
+    queue.requeue(d, "fsck: lost-lease")             # retry
+    assert queue.claim_next("w2") == (b, queue.jobspec(b), 1)
+    queue.mark_running(b, "w2", 1)
+    queue.fail_attempt(b, "w2", 1, "boom again")     # budget spent: fail
+
+    fold = queue.fold()
+    records = queue.journal.records()
+    seen = Counter(r["type"] for r in records)
+    assert set(seen) == {"submit", "claim", "run", "retry", "done", "fail"}
+    assert fold.records == len(records)
+    assert {"submit": fold.submits, "claim": fold.claims,
+            "retry": fold.retries, "done": fold.dones,
+            "fail": fold.fails} == {t: seen[t] for t in (
+                "submit", "claim", "retry", "done", "fail")}
+    last = {r["job"]: r["type"] for r in records}
+    named = {"submit": JobState.QUEUED, "claim": JobState.CLAIMED,
+             "run": JobState.RUNNING, "retry": JobState.RETRYING,
+             "done": JobState.DONE, "fail": JobState.FAILED}
+    assert {j: v.state for j, v in fold.jobs.items()} == {
+        j: named[t] for j, t in last.items()}
+    assert [fold.jobs[j].state for j in (a, b, c, d, e)] == [
+        JobState.DONE, JobState.FAILED, JobState.RETRYING,
+        JobState.RETRYING, JobState.QUEUED]
+    assert fold.lease_breaks == sum(
+        1 for r in records if r["type"] in ("retry", "fail")
+        and r["error"].startswith("lease expired")) == 1
+    assert fold.max_depth == 4  # e queued, then b, c and d retried
+
+    r = FleetAggregator(queue).rollups()
+    assert (r["submits"], r["claims"], r["retries"], r["dones"],
+            r["fails"], r["lease_breaks"], r["max_queue_depth"]) == (
+        fold.submits, fold.claims, fold.retries, fold.dones, fold.fails,
+        fold.lease_breaks, fold.max_depth)
+    assert r["goodput"] == fold.dones / fold.claims
 
 
 # -- workers ------------------------------------------------------------

@@ -60,8 +60,7 @@ Three composable layers:
   is moved to the `quarantine/` subdirectory and read as a miss — one
   bad file never kills a sweep.  `repro cache verify` audits the whole
   disk tier with the same check.
-* **Metrics** — `repro.obs.MetricsRegistry` (the successor of
-  `PerfCounters`, which remains as a deprecated alias) accumulates
+* **Metrics** — `repro.obs.MetricsRegistry` accumulates
   executor/cache event counts, wall-time, and labeled series;
   `repro experiments <ids> --stats` prints the report and
   `repro metrics <ids>` dumps Prometheus exposition text.
