@@ -21,8 +21,8 @@ Two construction modes, matching the two historical call shapes:
 * ``ExecutionEngine.from_options(jobs=4, cache=...)`` — **configured**:
   :meth:`session` installs the engine's own context, and every
   execution method run inside (or outside — methods self-install when
-  no engine session is active) uses those knobs.  This is the CLI and
-  service-worker shape.
+  no engine session is active) uses its ``jobs``, ``cache`` and
+  ``counters``.  This is the CLI and service-worker shape.
 
 Either way the execution *semantics* are identical; configuration only
 selects fan-out, memoization and instrumentation, never results.
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import pathlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .perf.context import PerfContext, get_context, perf_context
@@ -44,30 +43,7 @@ if TYPE_CHECKING:
     from .platform.spec import PlatformSpec, RunSpec
     from .runtime.runner import RunResult
 
-__all__ = ["EngineOptions", "ExecutionEngine"]
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """Execution knobs an engine session installs (mirrors
-    :class:`~repro.perf.context.PerfContext`; every field only affects
-    *how* cells run — fan-out, memoization, instrumentation — never
-    what they compute)."""
-
-    #: Worker processes for cell fan-out; 1 = serial.
-    jobs: int = 1
-    #: Memoization cache for RunResults; None disables caching.
-    cache: Optional["RunCache"] = None
-    #: Metrics sink; None falls back to the global registry.
-    counters: Optional["MetricsRegistry"] = None
-    #: Wall-clock budget per cell in the parallel path, seconds.
-    cell_timeout: Optional[float] = None
-    #: Pool dispatch attempts before degrading to serial.
-    max_retries: int = 2
-    #: Variance-adaptive Monte-Carlo stopping target (off by default).
-    target_ci: Optional[float] = None
-    #: Hard trial ceiling per cell when ``target_ci`` is active.
-    max_adaptive_runs: int = 64
+__all__ = ["ExecutionEngine"]
 
 
 class ExecutionEngine:
@@ -81,15 +57,24 @@ class ExecutionEngine:
     additionally shares the warm worker pool across them.
     """
 
-    def __init__(self, options: Optional[EngineOptions] = None) -> None:
-        self.options = options
+    def __init__(self) -> None:
+        #: ``perf_context`` keyword arguments; None = ambient engine.
+        self._options: Optional[dict] = None
         self._depth = 0
 
     @classmethod
-    def from_options(cls, **kwargs: object) -> "ExecutionEngine":
-        """Engine with its own execution context (see
-        :class:`EngineOptions` for the accepted knobs)."""
-        return cls(EngineOptions(**kwargs))  # type: ignore[arg-type]
+    def from_options(cls, jobs: int = 1,
+                     cache: Optional["RunCache"] = None,
+                     counters: Optional["MetricsRegistry"] = None,
+                     ) -> "ExecutionEngine":
+        """Engine with its own execution context: ``jobs`` worker
+        processes (1 = serial), a ``cache`` for RunResults (None
+        disables caching) and a ``counters`` metrics sink (None falls
+        back to the global registry)."""
+        engine = cls()
+        engine._options = {"jobs": jobs, "cache": cache,
+                           "counters": counters}
+        return engine
 
     # -- context ------------------------------------------------------
 
@@ -102,18 +87,12 @@ class ExecutionEngine:
         default CLI path stays byte-identical to the pre-engine code
         and one outer session shares its pool with every inner call.
         """
-        if self.options is None or self._depth > 0:
+        if self._options is None or self._depth > 0:
             yield get_context()
             return
         self._depth += 1
         try:
-            o = self.options
-            with perf_context(jobs=o.jobs, cache=o.cache,
-                              counters=o.counters,
-                              cell_timeout=o.cell_timeout,
-                              max_retries=o.max_retries,
-                              target_ci=o.target_ci,
-                              max_adaptive_runs=o.max_adaptive_runs) as ctx:
+            with perf_context(**self._options) as ctx:
                 yield ctx
         finally:
             self._depth -= 1

@@ -325,20 +325,23 @@ class FleetAggregator:
         """The ``repro service top`` rendering: a point-in-time fleet,
         queue and worker table from spools + journal — no running
         fleet required."""
+        from ..service.queue import CLAIMABLE
+
         r = self.rollups()
         claims = self.queue.active_claims()
+        table = self._fold.jobs
+        depth = sum(1 for v in table.values() if v.state in CLAIMABLE)
         lines = [f"service {self.queue.root}"]
         lines.append(
             f"queue: {r['submits']} submitted, {r['dones']} done, "
-            f"{r['fails']} failed, depth now "
-            f"{self.queue.depth()} (max {r['max_queue_depth']})")
+            f"{r['fails']} failed, depth now {depth} "
+            f"(max {r['max_queue_depth']})")
         lines.append(
             f"health: goodput={r['goodput']:.2f} "
             f"retry_rate={r['retry_rate']:.2f} "
             f"retries={r['retries']} lease_breaks={r['lease_breaks']}")
         lines.append(f"{'job':<20} {'state':<9} {'kind':<11} "
                      f"{'attempts':<9} worker")
-        table = self._fold.jobs
         for job_id in sorted(table):
             view = table[job_id]
             live = ""

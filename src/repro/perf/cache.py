@@ -155,9 +155,10 @@ class RunCache:
                        "(%s)", path.name, target, reason)
 
     @staticmethod
-    def _decode_entry(payload) -> "RunResult":
+    def decode_entry(payload) -> "RunResult":
         """Entry JSON -> RunResult; :class:`CacheCorruptionError` on any
-        structural problem (shared by :meth:`get` and :meth:`verify`)."""
+        structural problem.  The one judge of a disk entry: :meth:`get`,
+        :meth:`verify` and the service fsck all call it."""
         if not isinstance(payload, dict):
             raise CacheCorruptionError(
                 f"entry is {type(payload).__name__}, expected object")
@@ -189,7 +190,7 @@ class RunCache:
             return None
         try:
             payload = json.loads(text)
-            result = self._decode_entry(payload)
+            result = self.decode_entry(payload)
         except ValueError as exc:  # JSONDecodeError is a ValueError
             self._quarantine(path, f"invalid JSON: {exc}")
             return None
@@ -287,7 +288,7 @@ class RunCache:
             report["checked"] += 1
             try:
                 payload = json.loads(path.read_text())
-                self._decode_entry(payload)
+                self.decode_entry(payload)
             except (OSError, ValueError, CacheCorruptionError) as exc:
                 self._quarantine(path, str(exc))
                 report["quarantined"].append(path.name)

@@ -10,9 +10,11 @@ caller passes ``None``:
     with perf_context(jobs=4, cache=RunCache(tmp)):
         run_experiment("fig5", fast=False)   # fans out, memoizes
 
-The context also owns the shared :class:`ProcessPoolExecutor` so that
-consecutive fan-outs inside one block reuse warm workers instead of
-re-forking per sweep.
+The context carries exactly the three values a front door sets —
+``jobs``, ``cache`` and ``counters`` — and owns the shared
+:class:`ProcessPoolExecutor` so that consecutive fan-outs inside one
+block reuse warm workers instead of re-forking per sweep.  None of the
+three changes what a cell computes.
 """
 
 from __future__ import annotations
@@ -39,20 +41,6 @@ class PerfContext:
     #: Instrumentation sink (a :class:`repro.obs.metrics.MetricsRegistry`);
     #: None falls back to the global registry.
     counters: Optional["MetricsRegistry"] = None
-    #: Wall-clock budget per cell in the parallel path, seconds; None
-    #: waits forever.  A timed-out cell counts as a pool failure and is
-    #: retried like one.
-    cell_timeout: Optional[float] = None
-    #: Pool dispatch attempts before the executor degrades to serial.
-    max_retries: int = 2
-    #: Variance-adaptive Monte-Carlo stopping: keep drawing trial
-    #: batches for a sweep cell until the 95% CI half-width of its mean
-    #: wall time falls below ``target_ci`` (a fraction of the mean).
-    #: None (the default) keeps the fixed trial count and is
-    #: byte-identical to every release before the knob existed.
-    target_ci: Optional[float] = None
-    #: Hard trial ceiling per cell when ``target_ci`` is active.
-    max_adaptive_runs: int = 64
     _pool: Optional["ProcessPoolExecutor"] = field(
         default=None, repr=False, compare=False)
     _pool_broken: bool = field(default=False, repr=False, compare=False)
@@ -98,17 +86,9 @@ def perf_context(
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
     counters: Optional["MetricsRegistry"] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    target_ci: Optional[float] = None,
-    max_adaptive_runs: int = 64,
 ) -> Iterator[PerfContext]:
     """Install a :class:`PerfContext` for the duration of the block."""
-    ctx = PerfContext(jobs=max(1, int(jobs)), cache=cache, counters=counters,
-                      cell_timeout=cell_timeout,
-                      max_retries=max(0, int(max_retries)),
-                      target_ci=target_ci,
-                      max_adaptive_runs=max(1, int(max_adaptive_runs)))
+    ctx = PerfContext(jobs=max(1, int(jobs)), cache=cache, counters=counters)
     _STACK.append(ctx)
     try:
         yield ctx

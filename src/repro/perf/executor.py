@@ -10,11 +10,11 @@ exploits that by fanning cells out over a
 results in submission order.
 
 Failure containment is *cell-granular*: pool infrastructure errors (a
-worker killed, an unpicklable payload, fork failure, a cell exceeding
-its timeout) cost only the unfinished cells — completed results are
-harvested, a warning names the failing cell's cache key, and only the
-remainder is retried (bounded attempts over a fresh pool, then the
-serial path).  The sweep always completes, and model errors raised by
+worker killed, an unpicklable payload, fork failure) cost only the
+unfinished cells — completed results are harvested, a warning names
+the failing cell's cache key, and only the remainder is retried
+(:data:`POOL_RETRIES` attempts over a fresh pool, then the serial
+path).  The sweep always completes, and model errors raised by
 a cell propagate unchanged in both modes.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import pickle
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -46,6 +45,9 @@ logger = logging.getLogger(__name__)
 #: Exceptions that mean "the pool broke", never "the model is wrong".
 _POOL_ERRORS = (BrokenProcessPool, OSError, pickle.PicklingError)
 
+#: Pool dispatch retries before the executor degrades to serial.
+POOL_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class RunCell:
@@ -56,15 +58,6 @@ class RunCell:
     then the SHA-256 of the spec's canonical JSON (auditable from the
     on-disk entry).  Raw-object cells fall back to the recursive
     object-walk fingerprint.
-
-    ``target_ci`` switches the cell to variance-adaptive Monte-Carlo
-    sampling (:meth:`AppRunner.run_adaptive`); it travels in the cell
-    (not the ambient context) because worker processes never see the
-    parent's :class:`PerfContext`.  The knob folds into the cache key
-    only when active, so default-config keys — and every cache entry
-    written before the knob existed — are untouched (mirroring how
-    ``FaultSpec`` composes into the canonical spec JSON only when
-    faults are enabled).
     """
 
     machine: "Machine"
@@ -74,37 +67,13 @@ class RunCell:
     n_runs: int
     seed: int
     spec: Optional["RunSpec"] = None
-    target_ci: Optional[float] = None
-    max_adaptive_runs: int = 64
 
     def key(self, memo: dict | None = None) -> str:
         """Content address of this cell (the cache key)."""
         if self.spec is not None:
-            base = spec_key(self.spec)
-        else:
-            base = run_key(self.machine, self.profile, self.os_instance,
-                           self.n_nodes, self.n_runs, self.seed, memo=memo)
-        if self.target_ci is None:
-            return base
-        import hashlib
-
-        payload = (f"{base}|target_ci:{self.target_ci!r}"
-                   f"|max_adaptive_runs:{int(self.max_adaptive_runs)}")
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def adaptive_fields() -> dict:
-    """The ambient context's adaptive-stopping knobs as RunCell kwargs.
-
-    Sweep builders call this in the parent process, where the installed
-    :class:`PerfContext` is visible, and bake the values into each cell
-    so worker processes honour them.
-    """
-    ctx = get_context()
-    if ctx.target_ci is None:
-        return {}
-    return {"target_ci": ctx.target_ci,
-            "max_adaptive_runs": ctx.max_adaptive_runs}
+            return spec_key(self.spec)
+        return run_key(self.machine, self.profile, self.os_instance,
+                       self.n_nodes, self.n_runs, self.seed, memo=memo)
 
 
 def _execute_cell(cell: RunCell) -> "RunResult":
@@ -112,11 +81,6 @@ def _execute_cell(cell: RunCell) -> "RunResult":
     from ..runtime.runner import AppRunner
 
     runner = AppRunner(cell.machine, cell.profile, seed=cell.seed)
-    if cell.target_ci is not None:
-        return runner.run_adaptive(cell.os_instance, cell.n_nodes,
-                                   n_runs=cell.n_runs,
-                                   target_ci=cell.target_ci,
-                                   max_runs=cell.max_adaptive_runs)
     return runner.run(cell.os_instance, cell.n_nodes, n_runs=cell.n_runs)
 
 
@@ -143,22 +107,21 @@ class _PartialPoolFailure(Exception):
 
 
 def _run_pool(pool: ProcessPoolExecutor, cells: Sequence[RunCell],
-              jobs: int, timeout: Optional[float] = None
-              ) -> list["RunResult"]:
+              jobs: int) -> list["RunResult"]:
     """Fan ``cells`` out over ``pool``; results in submission order.
 
     One future per cell so a pool failure is attributable: when a
-    future raises an infrastructure error (or exceeds ``timeout``
-    seconds), every already-finished result is harvested and shipped
-    back inside :class:`_PartialPoolFailure` so the caller retries only
-    the remainder.
+    future raises an infrastructure error, every already-finished
+    result is harvested and shipped back inside
+    :class:`_PartialPoolFailure` so the caller retries only the
+    remainder.
     """
     futures = [pool.submit(_execute_cell, cell) for cell in cells]
     out: list["RunResult"] = []
     for i, future in enumerate(futures):
         try:
-            out.append(future.result(timeout=timeout))
-        except (*_POOL_ERRORS, FuturesTimeoutError) as exc:
+            out.append(future.result())
+        except _POOL_ERRORS as exc:
             done = dict(enumerate(out))
             # Harvest everything that finished behind the failure
             # before cancelling the rest.
@@ -171,11 +134,9 @@ def _run_pool(pool: ProcessPoolExecutor, cells: Sequence[RunCell],
                         pass
                 else:
                     f.cancel()
-            kind = ("timeout" if isinstance(exc, FuturesTimeoutError)
-                    else type(exc).__name__)
             raise _PartialPoolFailure(
                 done=done, failed_index=i,
-                cause=f"{kind}: {exc}") from exc
+                cause=f"{type(exc).__name__}: {exc}") from exc
     return out
 
 
@@ -183,28 +144,20 @@ def execute_cells(
     cells: Sequence[RunCell],
     jobs: Optional[int] = None,
     cache: Optional["RunCache"] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
 ) -> list["RunResult"]:
     """Execute ``cells``, returning results in cell order.
 
-    ``jobs``/``cache``/``cell_timeout``/``max_retries`` default to the
-    ambient :class:`PerfContext`.  Cache lookups and stores happen in
-    the parent process only, so workers stay pure compute and the disk
-    tier sees no write races.  ``cell_timeout`` bounds each cell's
-    parallel execution (seconds); a timed-out or pool-killed dispatch
-    retries only its unfinished cells, ``max_retries`` times, before
-    degrading to the serial path.
+    ``jobs``/``cache`` default to the ambient :class:`PerfContext`.
+    Cache lookups and stores happen in the parent process only, so
+    workers stay pure compute and the disk tier sees no write races.
+    A pool-killed dispatch retries only its unfinished cells,
+    :data:`POOL_RETRIES` times, before degrading to the serial path.
     """
     ctx = get_context()
     if jobs is None:
         jobs = ctx.jobs
     if cache is None:
         cache = ctx.cache
-    if cell_timeout is None:
-        cell_timeout = ctx.cell_timeout
-    if max_retries is None:
-        max_retries = ctx.max_retries
     counters = get_metrics()
     counters.counter("executor.cells").inc(len(cells))
 
@@ -228,9 +181,7 @@ def execute_cells(
 
     todo = [cells[i] for i in pending]
     with counters.timer("executor.compute"):
-        computed = _dispatch(todo, jobs, ctx, counters,
-                             timeout=cell_timeout,
-                             max_retries=max_retries)
+        computed = _dispatch(todo, jobs, ctx, counters)
     for i, result in zip(pending, computed):
         results[i] = result
         if cache is not None:
@@ -255,9 +206,8 @@ def execute_cells(
     return results  # type: ignore[return-value]
 
 
-def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
-              timeout: Optional[float] = None,
-              max_retries: int = 2) -> list["RunResult"]:
+def _dispatch(cells: Sequence[RunCell], jobs: int, ctx,
+              counters) -> list["RunResult"]:
     if jobs <= 1 or len(cells) <= 1:
         counters.counter("executor.serial_cells").inc(len(cells))
         return _run_serial(cells)
@@ -265,21 +215,18 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
     results: dict[int, "RunResult"] = {}
     pending = list(range(len(cells)))
     failures = 0
-    while pending and failures <= max_retries:
+    while pending and failures <= POOL_RETRIES:
         batch = [cells[i] for i in pending]
         shared = (ctx.pool()
                   if jobs == ctx.jobs and failures == 0 else None)
-        # Tests monkeypatch _run_pool with the historical 3-arg
-        # signature, so the timeout travels only when it is set.
-        extra = () if timeout is None else (timeout,)
         try:
             if shared is not None:
-                out = _run_pool(shared, batch, jobs, *extra)
+                out = _run_pool(shared, batch, jobs)
             else:
                 with ProcessPoolExecutor(
                     max_workers=min(jobs, len(batch))
                 ) as pool:
-                    out = _run_pool(pool, batch, jobs, *extra)
+                    out = _run_pool(pool, batch, jobs)
         except _PartialPoolFailure as failure:
             if shared is not None:
                 ctx.mark_pool_broken()
@@ -295,7 +242,7 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
                 "%d/%d cells of this batch finished, retrying the rest "
                 "(retry attempt %d/%d)",
                 failed_cell.key(), failure.cause, len(failure.done),
-                len(batch), failures, max_retries)
+                len(batch), failures, POOL_RETRIES)
             for pos, result in failure.done.items():
                 results[pending[pos]] = result
             pending = [i for i in pending if i not in results]
@@ -312,7 +259,7 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
                 "worker pool failed before any cell could be "
                 "attributed (%s: %s); retrying %d cells "
                 "(retry attempt %d/%d)", type(exc).__name__, exc,
-                len(pending), failures, max_retries)
+                len(pending), failures, POOL_RETRIES)
             continue
         for pos, result in zip(pending, out):
             results[pos] = result

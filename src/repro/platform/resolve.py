@@ -100,17 +100,15 @@ def run_cells(
     Results come back in spec order, bit-identical to a serial run;
     cache keys are the SHA-256 of each spec's canonical JSON.
     """
-    from ..perf.executor import RunCell, adaptive_fields, execute_cells
+    from ..perf.executor import RunCell, execute_cells
 
-    adaptive = adaptive_fields()
     cells = []
     for spec in specs:
         resolved = build(spec.platform)
         profile = _profile(spec.app)
         cells.append(RunCell(resolved.machine, profile,
                              resolved.os_instance, spec.n_nodes,
-                             spec.n_runs, spec.seed, spec=spec,
-                             **adaptive))
+                             spec.n_runs, spec.seed, spec=spec))
     return execute_cells(cells, jobs=jobs, cache=cache)
 
 

@@ -292,42 +292,42 @@ class AppRunner:
         return (tlb_time, churn_time, collective_time, per_iter_static,
                 init, n_intervals, n_threads)
 
-    def _trial_batch(
-        self, os_instance: OsInstance, n_nodes: int, n_threads: int,
-        run_indices: range,
-        sampler: BarrierDelaySampler | None,
-        per_iter_static: float, init: float, n_intervals: int,
-        batch_trials: bool,
-    ) -> tuple[list[float], list[float]]:
-        """(wall times, per-interval noise means) for one batch of
-        trials, bit-identical for either value of ``batch_trials``.
+    def run(self, os_instance: OsInstance, n_nodes: int,
+            n_runs: int = 3) -> RunResult:
+        """Execute the profile ``n_runs`` times; per-run noise and
+        variability draws differ, producing the error bars of Figs. 5-7.
 
         Every trial derives its RNG streams purely from its own
-        ``run_idx``, so batches compose: trials ``0..k`` drawn as one
-        batch equal trials ``0..k`` drawn as several.
+        ``run_idx``, so trials compose: the first ``k`` trials of an
+        ``n_runs > k`` run equal a ``k``-trial run bit for bit.
         """
+        if n_nodes <= 0 or n_nodes > self.machine.n_nodes:
+            raise ConfigurationError(
+                f"n_nodes must be in 1..{self.machine.n_nodes}"
+            )
+        if n_runs <= 0:
+            raise ConfigurationError("n_runs must be positive")
+        (tlb_time, churn_time, collective_time, per_iter_static, init,
+         n_intervals, n_threads) = self._component_times(os_instance, n_nodes)
+        sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
         p = self.profile
         os_tag = fnv1a_64(f"{p.name}/{os_instance.kind}")
         rngs = [
             np.random.default_rng((self.seed, run_idx, n_nodes, os_tag))
-            for run_idx in run_indices
+            for run_idx in range(n_runs)
         ]
         if sampler is None:
-            noise_means = [0.0] * len(rngs)
-        elif batch_trials:
-            # One vectorized draw for the whole batch: the per-trial
-            # generators are consumed exactly as the serial loop would,
+            noise_means = [0.0] * n_runs
+        else:
+            # One vectorized draw for all trials: the per-trial
+            # generators are consumed exactly as a per-trial loop would,
             # but the order-statistic inverse-CDF evaluation runs once
             # per source instead of once per (source, trial).
             rows = sampler.sample_batch(min(p.iterations, 512), rngs)
             noise_means = [float(row.mean()) for row in rows]
-        else:
-            n_sample = min(p.iterations, 512)
-            noise_means = [float(sampler.sample(n_sample, rng).mean())
-                           for rng in rngs]
         times = []
         common_tag = fnv1a_64(p.name)
-        for rng, run_idx, noise in zip(rngs, run_indices, noise_means):
+        for run_idx, (rng, noise) in enumerate(zip(rngs, noise_means)):
             base = init + n_intervals * (per_iter_static + noise)
             # Run-to-run variability has two parts: the node assignment
             # (shared between the two OSes — the paper used "the exact
@@ -340,21 +340,12 @@ class AppRunner:
                 * np.exp(0.36 * p.variability * rng.standard_normal())
             )
             times.append(base * jitter)
-        return times, noise_means
-
-    def _result(self, os_instance: OsInstance, n_nodes: int,
-                n_threads: int, times: list[float],
-                noise_means: list[float], tlb_time: float,
-                churn_time: float, collective_time: float, init: float,
-                n_intervals: int) -> RunResult:
-        p = self.profile
-        mean_noise = float(np.mean(noise_means))
         breakdown = Breakdown(
             compute=n_intervals * p.sync_interval_at(n_nodes),
             tlb=n_intervals * tlb_time,
             churn=n_intervals * churn_time,
             collective=n_intervals * collective_time,
-            noise=n_intervals * mean_noise,
+            noise=n_intervals * float(np.mean(noise_means)),
             init=init,
         )
         return RunResult(
@@ -366,79 +357,6 @@ class AppRunner:
             times=tuple(times),
             breakdown=breakdown,
         )
-
-    def _check_run_args(self, n_nodes: int, n_runs: int) -> None:
-        if n_nodes <= 0 or n_nodes > self.machine.n_nodes:
-            raise ConfigurationError(
-                f"n_nodes must be in 1..{self.machine.n_nodes}"
-            )
-        if n_runs <= 0:
-            raise ConfigurationError("n_runs must be positive")
-
-    def run(self, os_instance: OsInstance, n_nodes: int,
-            n_runs: int = 3, batch_trials: bool = True) -> RunResult:
-        """Execute the profile ``n_runs`` times; per-run noise and
-        variability draws differ, producing the error bars of Figs. 5-7.
-
-        ``batch_trials=False`` forces the historical per-trial sampling
-        loop; the result is bit-identical either way (asserted in
-        tests and measured by the ``sweep_multitrial`` benchmarks).
-        """
-        self._check_run_args(n_nodes, n_runs)
-        (tlb_time, churn_time, collective_time, per_iter_static, init,
-         n_intervals, n_threads) = self._component_times(os_instance, n_nodes)
-        sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
-        times, noise_means = self._trial_batch(
-            os_instance, n_nodes, n_threads, range(n_runs), sampler,
-            per_iter_static, init, n_intervals, batch_trials)
-        return self._result(os_instance, n_nodes, n_threads, times,
-                            noise_means, tlb_time, churn_time,
-                            collective_time, init, n_intervals)
-
-    def run_adaptive(self, os_instance: OsInstance, n_nodes: int,
-                     n_runs: int = 3, target_ci: float = 0.05,
-                     max_runs: int = 64) -> RunResult:
-        """Monte-Carlo cell with variance-adaptive early stopping.
-
-        Trials are drawn in batches of ``n_runs`` until the Student-t
-        95% CI half-width of the mean wall time falls to ``target_ci``
-        (as a fraction of the mean) or ``max_runs`` trials have been
-        drawn.  The stopping decision depends only on this cell's own
-        RNG streams (trial ``k`` is always derived from coordinate
-        ``k``), so results are bit-identical across ``--jobs`` and
-        across cell execution order.
-        """
-        self._check_run_args(n_nodes, n_runs)
-        if target_ci <= 0:
-            raise ConfigurationError("target_ci must be positive")
-        if max_runs < n_runs:
-            raise ConfigurationError("max_runs must be >= n_runs")
-        (tlb_time, churn_time, collective_time, per_iter_static, init,
-         n_intervals, n_threads) = self._component_times(os_instance, n_nodes)
-        sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
-        times: list[float] = []
-        noise_means: list[float] = []
-        while True:
-            start = len(times)
-            batch = min(n_runs, max_runs - start)
-            t, nm = self._trial_batch(
-                os_instance, n_nodes, n_threads,
-                range(start, start + batch), sampler,
-                per_iter_static, init, n_intervals, batch_trials=True)
-            times.extend(t)
-            noise_means.extend(nm)
-            n = len(times)
-            if n >= max_runs:
-                break
-            if n >= 2:
-                mean = float(np.mean(times))
-                sem = float(np.std(times, ddof=1)) / np.sqrt(n)
-                half = t_critical(n - 1) * sem
-                if half <= target_ci * abs(mean):
-                    break
-        return self._result(os_instance, n_nodes, n_threads, times,
-                            noise_means, tlb_time, churn_time,
-                            collective_time, init, n_intervals)
 
 
 @dataclass(frozen=True)
@@ -484,15 +402,12 @@ def compare(
     :func:`repro.perf.perf_context`), with results bit-identical to
     the serial path.
     """
-    from ..perf.executor import RunCell, adaptive_fields, execute_cells
+    from ..perf.executor import RunCell, execute_cells
 
-    adaptive = adaptive_fields()
     cells = []
     for n in node_counts:
-        cells.append(RunCell(machine, profile, linux, n, n_runs, seed,
-                             **adaptive))
-        cells.append(RunCell(machine, profile, mckernel, n, n_runs, seed,
-                             **adaptive))
+        cells.append(RunCell(machine, profile, linux, n, n_runs, seed))
+        cells.append(RunCell(machine, profile, mckernel, n, n_runs, seed))
     results = execute_cells(cells, jobs=jobs, cache=cache)
     return [
         Comparison(n_nodes=n, linux=results[2 * i],

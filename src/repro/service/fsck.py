@@ -34,7 +34,8 @@ violation                   repair (``--repair``)
 ``failed-with-result``      none — reported, left in place
 ``missing-result``          none — a DONE job's artifacts are gone
 ``stray-workdir``           quarantine the ``*.tmp-*`` directory
-``cache-corrupt``           quarantine the cache entry
+``cache-corrupt``           quarantine the cache entry (one
+                            ``RunCache.decode_entry`` rejects)
 ``cache-incoherent``        quarantine the cache entry (embedded
                             spec no longer hashes to the file name)
 ``stray-cache-tmp``         quarantine the ``*.tmp`` file
@@ -66,11 +67,12 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import JournalCorruptionError, ReproError
+from ..errors import CacheCorruptionError, JournalCorruptionError, ReproError
 from ..faults.tolerance import RetryPolicy
 from ..obs.export import canonical_json
 from ..obs.metrics import get_metrics
 from ..obs.spool import read_spool, spool_dir
+from ..perf.cache import RunCache
 from ..perf.fingerprint import spec_key
 from .jobs import JobSpec
 from .journal import Journal
@@ -358,13 +360,13 @@ class ServiceFsck:
             self.checked["cache_entries"] += 1
             try:
                 entry = json.loads(path.read_text())
-            except (OSError, ValueError) as exc:
+                RunCache.decode_entry(entry)
+            except (OSError, ValueError, CacheCorruptionError) as exc:
                 self._cache_violation(
                     "cache-corrupt", path,
                     f"cache entry unreadable: {exc}")
                 continue
-            spec_payload = entry.get("spec") \
-                if isinstance(entry, dict) else None
+            spec_payload = entry.get("spec")
             if spec_payload is None:
                 continue  # legacy/self-describing-less entry: no check
             try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import EngineOptions, ExecutionEngine
+from repro.engine import ExecutionEngine
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.obs.metrics import MetricsRegistry
@@ -98,9 +98,3 @@ def test_engine_export_matches_cli_export_bytes(tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_engine_options_are_frozen():
-    options = EngineOptions(jobs=2)
-    with pytest.raises(Exception):
-        options.jobs = 4  # type: ignore[misc]

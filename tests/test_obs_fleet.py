@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.obs.export import ensure_valid_chrome_trace
 from repro.obs.fleet import DEFAULT_SLO, FleetAggregator, load_slo
 from repro.platform import RunSpec, get_platform
-from repro.service import JobQueue, JobSpec, Worker, serve
+from repro.service import JobQueue, JobSpec, Journal, Worker, serve
 
 
 def _spec(app="Milc", nodes=64, seed=3):
@@ -198,6 +198,23 @@ def test_top_renders_queue_health_and_spools(drained):
     assert "telemetry: 1 spool(s), 0 torn tail(s)" in top
     for job_id in drained.table():
         assert job_id in top
+
+
+def test_top_folds_the_journal_once(drained, monkeypatch):
+    """top() counts its depth in the constructor's fold: one journal
+    read per rendering, and the depth still counts claimable jobs."""
+    drained.submit(JobSpec.for_specs([_spec(nodes=64)]))
+    reads = []
+    records = Journal.records
+
+    def counting(self):
+        reads.append(self.path)
+        return records(self)
+
+    monkeypatch.setattr(Journal, "records", counting)
+    top = FleetAggregator(drained).top()
+    assert len(reads) == 1
+    assert "depth now 1 " in top
 
 
 def test_top_handles_an_empty_service(tmp_path):

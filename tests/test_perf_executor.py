@@ -146,7 +146,7 @@ def test_partial_pool_failure_retries_only_unfinished(
     calls = []
     by_key = {c.key(): r for c, r in zip(cells, reference)}
 
-    def flaky(pool, todo, jobs, *extra):
+    def flaky(pool, todo, jobs):
         calls.append([c.key() for c in todo])
         if len(calls) == 1:
             # First cell finished, second blew up the pool.
@@ -183,15 +183,16 @@ def test_partial_results_survive_total_pool_collapse(
     reference = execute_cells(cells, jobs=1)
     by_key = {c.key(): r for c, r in zip(cells, reference)}
 
-    def always_failing(pool, todo, jobs, *extra):
+    def always_failing(pool, todo, jobs):
         done = {0: by_key[todo[0].key()]} if len(todo) > 1 else {}
         raise executor_mod._PartialPoolFailure(
             done=done, failed_index=len(done),
             cause="timeout: cell exceeded budget")
 
     monkeypatch.setattr(executor_mod, "_run_pool", always_failing)
+    monkeypatch.setattr(executor_mod, "POOL_RETRIES", 1)
     counters = MetricsRegistry()
-    with perf_context(jobs=4, counters=counters, max_retries=1):
+    with perf_context(jobs=4, counters=counters):
         results = execute_cells(cells)
     assert counters.counts["executor.pool_failures"] == 1
     # Cell 0 was harvested on the first attempt; only cell 1 fell
@@ -210,26 +211,14 @@ def test_zero_retries_goes_straight_to_serial(monkeypatch, ofp_machine,
 
     calls = []
 
-    def broken(pool, todo, jobs, *extra):
+    def broken(pool, todo, jobs):
         calls.append(len(todo))
         raise BrokenProcessPool("worker died")
 
     monkeypatch.setattr(executor_mod, "_run_pool", broken)
-    with perf_context(jobs=4, max_retries=0):
+    monkeypatch.setattr(executor_mod, "POOL_RETRIES", 0)
+    with perf_context(jobs=4):
         results = execute_cells(cells)
     assert calls == [2]  # one attempt, no retry
-    for r, ref in zip(results, reference):
-        assert_results_equal(r, ref)
-
-
-def test_cell_timeout_still_produces_full_results(ofp_machine, ofp_linux):
-    """An absurdly small per-cell budget may expire the pool attempts,
-    but the serial fallback still completes the sweep byte-identically."""
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64)]
-    reference = execute_cells(cells, jobs=1)
-    with perf_context(jobs=2, cell_timeout=1e-6, max_retries=1):
-        results = execute_cells(cells)
     for r, ref in zip(results, reference):
         assert_results_equal(r, ref)

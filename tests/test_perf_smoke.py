@@ -24,10 +24,12 @@ import os
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps import ALL_PROFILES
 from repro.experiments import run_experiment
+from repro.noise.sampler import BarrierDelaySampler
 from repro.perf import RunCache, perf_context
 from repro.platform import get_platform
 from repro.platform.resolve import build, sweep_platform_apps
@@ -121,47 +123,30 @@ def test_multitrial_sweep_wall_time():
 
 
 @pytest.mark.perfsmoke
-def test_multitrial_sweep_adaptive_wall_time():
-    """The same grid under variance-adaptive early stopping: cells stop
-    drawing trials once the 95% CI half-width of their mean wall time
-    is within 5% of the mean (capped at the same 32 trials).  The
-    budget requires >= 2x over the committed fixed-32 baseline and a
-    machine-independent >= 3x over this run's own fixed-32 sweep."""
-    run_experiment("fig5", fast=False, seed=0)
-    platform = get_platform("ofp-default")
-
-    def sweep_adaptive():
-        with perf_context(target_ci=0.05, max_adaptive_runs=32):
-            sweep_platform_apps(platform, APPS, NODE_COUNTS, 2, 0)
-
-    t = _best_of(3, sweep_adaptive)
-    _record(sweep_multitrial_adaptive=t)
-    print(f"\nadaptive (target_ci=5%, cap 32) sweep: {t:.3f} s "
-          f"best-of-3")
-
-
-@pytest.mark.perfsmoke
-def test_trial_batching_bit_identical_and_faster():
+def test_trial_batching_bit_identical_and_faster(monkeypatch):
     """Same-run loop-vs-batched pair: AppRunner's batched noise
     sampling must return bit-identical trial times and beat the
-    per-trial loop.  The ratio of the two entries is machine-free and
+    per-trial loop, which this test patches over ``sample_batch`` as
+    its reference.  The ratio of the two entries is machine-free and
     is a hard ``vs`` budget gate."""
     resolved = build(get_platform("ofp-default"))
     runner = AppRunner(resolved.machine, ALL_PROFILES["AMG2013"](),
                        seed=0)
     os_instance, n = resolved.os_instance, 1024
 
-    looped = runner.run(os_instance, n, n_runs=64, batch_trials=False)
-    batched = runner.run(os_instance, n, n_runs=64, batch_trials=True)
+    def run():
+        return runner.run(os_instance, n, n_runs=64)
+
+    with monkeypatch.context() as m:
+        m.setattr(BarrierDelaySampler, "sample_batch",
+                  lambda self, k, rngs: np.stack([self.sample(k, rng)
+                                                  for rng in rngs]))
+        looped = run()
+        t_loop = _best_of(3, run)
+    batched = run()
+    t_batch = _best_of(3, run)
     assert batched.times == looped.times  # bitwise, not approx
     assert batched == looped
-
-    t_loop = _best_of(
-        3, lambda: runner.run(os_instance, n, n_runs=64,
-                              batch_trials=False))
-    t_batch = _best_of(
-        3, lambda: runner.run(os_instance, n, n_runs=64,
-                              batch_trials=True))
     _record(apprunner_64trials_loop=t_loop,
             apprunner_64trials_batched=t_batch)
     print(f"\nAppRunner 64 trials @ {n} nodes: loop {t_loop:.4f} s, "

@@ -25,11 +25,9 @@ from repro.noise.sampler import (
 )
 from repro.noise.source import NoiseSource, Occurrence
 from repro.noise.spectral import SpectralPeak, find_periodic_noise, noise_spectrum
-from repro.perf.context import perf_context
-from repro.perf.executor import RunCell, adaptive_fields
 from repro.runtime import runner as runner_mod
 from repro.runtime.nodesim import NoisyCore
-from repro.runtime.runner import AppRunner, compare, t_critical
+from repro.runtime.runner import AppRunner, t_critical
 from repro.sim.distributions import Fixed, TruncatedExponential
 from repro.units import us
 
@@ -56,6 +54,12 @@ def _mixed_sources():
 
 def _rngs(n, tag=0):
     return [np.random.default_rng((tag, t)) for t in range(n)]
+
+
+def _sample_loop(self, n_intervals, rngs):
+    """The per-trial loop ``sample_batch`` replaced: patched over it,
+    it makes :meth:`AppRunner.run` draw trial by trial."""
+    return np.stack([self.sample(n_intervals, rng) for rng in rngs])
 
 
 # -- BarrierDelaySampler.sample_batch ---------------------------------
@@ -109,97 +113,24 @@ def test_sample_batch_edge_cases():
 
 
 @pytest.mark.parametrize("os_fixture", ["fugaku_linux", "fugaku_mckernel"])
-def test_run_batched_equals_run_looped(request, fugaku_machine, os_fixture):
+def test_run_batched_equals_run_looped(request, monkeypatch,
+                                       fugaku_machine, os_fixture):
     os_instance = request.getfixturevalue(os_fixture)
     runner = AppRunner(fugaku_machine, _toy_profile(), seed=3)
-    batched = runner.run(os_instance, 256, n_runs=6, batch_trials=True)
-    looped = runner.run(os_instance, 256, n_runs=6, batch_trials=False)
+    batched = runner.run(os_instance, 256, n_runs=6)
+    monkeypatch.setattr(BarrierDelaySampler, "sample_batch", _sample_loop)
+    looped = runner.run(os_instance, 256, n_runs=6)
     assert batched.times == looped.times
     assert batched == looped  # full dataclass, breakdown included
 
 
 def test_trial_batches_compose(fugaku_machine, fugaku_linux):
     """Trial k depends only on coordinate k, so a 6-trial run is a
-    bitwise superset of the 3-trial run — the invariant adaptive
-    stopping builds on."""
+    bitwise superset of the 3-trial run."""
     runner = AppRunner(fugaku_machine, _toy_profile(), seed=1)
     small = runner.run(fugaku_linux, 128, n_runs=3)
     big = runner.run(fugaku_linux, 128, n_runs=6)
     assert big.times[:3] == small.times
-
-
-# -- adaptive early stopping ------------------------------------------
-
-
-def test_run_adaptive_stops_at_first_satisfied_batch(fugaku_machine,
-                                                     fugaku_linux):
-    runner = AppRunner(fugaku_machine, _toy_profile(), seed=2)
-    # A huge tolerance is met by the very first batch.
-    loose = runner.run_adaptive(fugaku_linux, 128, n_runs=3,
-                                target_ci=10.0)
-    assert loose.times == runner.run(fugaku_linux, 128, n_runs=3).times
-
-
-def test_run_adaptive_caps_at_max_runs(fugaku_machine, fugaku_linux):
-    runner = AppRunner(fugaku_machine, _toy_profile(), seed=2)
-    # An impossible tolerance draws exactly max_runs trials, and the
-    # trials are the same stream fixed-count runs would draw.
-    tight = runner.run_adaptive(fugaku_linux, 128, n_runs=3,
-                                target_ci=1e-12, max_runs=8)
-    assert len(tight.times) == 8
-    assert tight.times == runner.run(fugaku_linux, 128, n_runs=8).times
-
-
-def test_run_adaptive_validation(fugaku_machine, fugaku_linux):
-    runner = AppRunner(fugaku_machine, _toy_profile(), seed=0)
-    with pytest.raises(ConfigurationError):
-        runner.run_adaptive(fugaku_linux, 128, target_ci=0.0)
-    with pytest.raises(ConfigurationError):
-        runner.run_adaptive(fugaku_linux, 128, n_runs=4, max_runs=2)
-
-
-def test_adaptive_sweep_identical_across_jobs(fugaku_machine, fugaku_linux,
-                                              fugaku_mckernel):
-    """Early stopping must not break the executor's determinism
-    guarantee: jobs=1 and jobs=4 draw identical trial counts and
-    identical bits, because stopping depends only on each cell's own
-    streams."""
-    profile = _toy_profile()
-    kwargs = dict(node_counts=[16, 64], n_runs=2, seed=0)
-    with perf_context(jobs=1, target_ci=0.05, max_adaptive_runs=16):
-        serial = compare(fugaku_machine, profile, fugaku_linux,
-                         fugaku_mckernel, **kwargs)
-    with perf_context(jobs=4, target_ci=0.05, max_adaptive_runs=16):
-        parallel = compare(fugaku_machine, profile, fugaku_linux,
-                           fugaku_mckernel, **kwargs)
-    assert serial == parallel
-    # And the knob did engage: some cell drew more than the floor.
-    assert any(len(r.times) >= 2 for c in serial
-               for r in (c.linux, c.mckernel))
-
-
-def test_adaptive_fields_reflect_ambient_context():
-    assert adaptive_fields() == {}
-    with perf_context(target_ci=0.1, max_adaptive_runs=32):
-        assert adaptive_fields() == {"target_ci": 0.1,
-                                     "max_adaptive_runs": 32}
-    assert adaptive_fields() == {}
-
-
-def test_cell_key_untouched_unless_adaptive(fugaku_machine, fugaku_linux):
-    """Default-config cache keys must not move when the knob is off —
-    entries written before the knob existed stay valid."""
-    profile = _toy_profile()
-    plain = RunCell(fugaku_machine, profile, fugaku_linux, 16, 3, 0)
-    off = RunCell(fugaku_machine, profile, fugaku_linux, 16, 3, 0,
-                  target_ci=None, max_adaptive_runs=99)
-    on = RunCell(fugaku_machine, profile, fugaku_linux, 16, 3, 0,
-                 target_ci=0.05)
-    assert plain.key() == off.key()  # max_adaptive_runs inert when off
-    assert on.key() != plain.key()
-    tighter = RunCell(fugaku_machine, profile, fugaku_linux, 16, 3, 0,
-                      target_ci=0.05, max_adaptive_runs=32)
-    assert tighter.key() != on.key()
 
 
 # -- t_critical -------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import JournalCorruptionError, ServiceError
 from repro.obs.export import canonical_json
+from repro.perf.fingerprint import spec_key
 from repro.platform import RunSpec, get_platform
 from repro.service import (
     JobQueue,
@@ -213,6 +214,25 @@ def test_cache_corrupt_entry_quarantined(tmp_path):
     report = verify_service(queue.root, repair=True)
     assert _checks(report) == ["cache-corrupt"]
     assert not bad.exists()
+
+
+def test_fsck_judges_cache_entries_like_the_run_cache(tmp_path):
+    """Parseable JSON that RunCache's decoder rejects is corrupt to fsck
+    too: a non-object entry, and a spec-coherent entry whose result is
+    not a RunResult."""
+    queue = _queue(tmp_path)
+    spec = _spec()
+    not_object = queue.cache_dir / ("cd" * 32 + ".json")
+    not_object.write_text("[1, 2]")
+    hollow = queue.cache_dir / f"{spec_key(spec)}.json"
+    hollow.write_text(json.dumps({"spec": spec.to_dict(),
+                                  "result": {"app": "Milc"}}))
+    report = verify_service(queue.root)
+    assert not report["clean"]
+    assert _checks(report) == ["cache-corrupt", "cache-corrupt"]
+    verify_service(queue.root, repair=True)
+    assert not not_object.exists() and not hollow.exists()
+    assert verify_service(queue.root)["clean"]
 
 
 def test_stray_cache_tmp_quarantined(tmp_path):

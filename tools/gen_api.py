@@ -90,11 +90,8 @@ Below the executor, the Monte-Carlo hot paths are vectorized —
 batched trial sampling in `AppRunner`, fused order-statistic draws in
 `BarrierDelaySampler.sample_batch`, chunked event charging in the DES
 `NoisyCore` — under a strict rule: every vectorization is bit-identical
-to the loop it replaced.  `perf_context(target_ci=...)` additionally
-enables variance-adaptive early stopping of Monte-Carlo cells (off by
-default; deterministic across `--jobs`).  See `docs/PERFORMANCE.md`
-for the bit-identity rules, the adaptive-stopping knob, and the speed
-budget.
+to the loop it replaced.  See `docs/PERFORMANCE.md` for the
+bit-identity rules and the speed budget.
 
 Guarantee: for every experiment id, parallel and cached runs render
 byte-identical output to a serial, uncached run
@@ -157,10 +154,11 @@ call, one-shot CLI, experiment registry, exporter, service worker —
 runs through one `repro.engine.ExecutionEngine`.  A bare
 `ExecutionEngine()` inherits the ambient `perf_context` (pure
 pass-through, byte-identical to calling the runners directly);
-`ExecutionEngine.from_options(jobs=..., cache=..., ...)` installs its
-own context for the duration of each `session()`.  Because there is a
-single execution core, the byte-identity guarantee extends across
-front doors for free.
+`ExecutionEngine.from_options(jobs=..., cache=..., counters=...)`
+installs its own context for the duration of each `session()`; those
+three values are the only execution knobs.  Because there is a single
+execution core, the byte-identity guarantee extends across front
+doors for free.
 
 `repro.service` adds the durable shape on top: a persistent job queue
 (`repro submit`), a crash-tolerant worker fleet (`repro serve`), and
